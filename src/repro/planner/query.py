@@ -11,7 +11,6 @@ and cross the CLI boundary.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
@@ -191,14 +190,12 @@ class Plan:
     forms price); ``closed_form_time`` is the ranking-stage estimate.
     ``lower_bound_gap`` is ``predicted_time / lower_bound_time`` — how
     far the plan sits above the communication lower bound floor
-    (Ballard/Demmel/Holtz; see ``docs/planner.md``).
+    (Ballard/Demmel/Holtz; see ``docs/planner.md``), or ``None`` when
+    that floor is 0 (one rank and ``gamma=0``).
 
-    A plan is always predictor-refinable (SUMMA or HSUMMA); 2.5D
-    replication — executable under the DES backend but with no
-    closed-form predictor chain — never competes at ranking fidelity
-    alone.  When its analytic estimate beats the chosen plan it shows
-    up in ``advisory`` instead, as a pointer to validate with
-    ``multiply(algorithm="2.5d")``.
+    SUMMA, HSUMMA and 2.5D compete at refinement fidelity; the best
+    2.5D variant is reported in ``advisory`` either way (see
+    ``docs/planner.md``).
     """
 
     algorithm: str
@@ -209,7 +206,7 @@ class Plan:
     closed_form_time: float
     backend: str
     lower_bound_time: float
-    lower_bound_gap: float
+    lower_bound_gap: float | None
     query: dict[str, Any]
     candidates: int = 0
     advisory: dict[str, Any] = dataclasses.field(default_factory=dict)
@@ -240,8 +237,8 @@ class Plan:
                     "bcast", "outer_bcast", "segments", "replication"):
             if key in self.params and self.params[key] is not None:
                 lines.append(f"  {key:<12} {self.params[key]}")
-        gap = (f"{self.lower_bound_gap:.2f}x"
-               if math.isfinite(self.lower_bound_gap) else "inf")
+        gap = ("n/a" if self.lower_bound_gap is None
+               else f"{self.lower_bound_gap:.2f}x")
         lines += [
             f"  predicted    {self.predicted_time:.6g}s = "
             f"comm {self.comm_time:.6g}s + compute {self.compute_time:.6g}s "

@@ -35,7 +35,7 @@ from repro.planner.space import (
 
 #: Bump when the search space, ranking forms, or refinement change in a
 #: way that invalidates stored plans.
-PLAN_CACHE_SALT = "planner-4"  # planner-4: advisory carries closed_form_only
+PLAN_CACHE_SALT = "planner-5"  # planner-5: pipelined leaders priced by the predictor
 _PLAN_FN = "repro.planner.plan"
 
 REFINE_BACKENDS = ("predictor", "macro", "none")
@@ -155,7 +155,12 @@ class PlanService:
                 f"no refinable candidate for n={rq.n}, p={rq.p} "
                 "(every configuration was filtered out)"
             )
-        ranked = sorted(refinable, key=lambda c: closed_form_cost(rq, c))
+        memo: dict = {}
+
+        def cost(c: Candidate) -> float:
+            return closed_form_cost(rq, c, memo)
+
+        ranked = sorted(refinable, key=cost)
         leaders = ranked[: self.top_k]
         # The best 2.5D candidate is always refined — even when it does
         # not lead the ranking — so the plan's 2.5D advisory reports
@@ -163,7 +168,7 @@ class PlanService:
         analytic = [c for c in refinable if c.algorithm == "2.5d"]
         adv_cand: Candidate | None = None
         if analytic:
-            adv_cand = min(analytic, key=lambda c: closed_form_cost(rq, c))
+            adv_cand = min(analytic, key=cost)
             if adv_cand not in leaders:
                 leaders = leaders + [adv_cand]
         best: tuple[float, float, float, str, Candidate] | None = None
@@ -184,17 +189,17 @@ class PlanService:
                 "comm_time": adv_refined[1],
                 "compute_time": adv_refined[2],
                 "backend": adv_refined[3],
-                "closed_form_time": closed_form_cost(rq, adv_cand),
+                "closed_form_time": cost(adv_cand),
                 "closed_form_only": False,
             }
         else:
             skipped = [c for c in cands if c.algorithm == "2.5d"
                        and c not in analytic]
             if skipped:
-                adv = min(skipped, key=lambda c: closed_form_cost(rq, c))
+                adv = min(skipped, key=cost)
                 advisory["25d"] = {
                     "replication": adv.replication,
-                    "closed_form_time": closed_form_cost(rq, adv),
+                    "closed_form_time": cost(adv),
                     # Flags the fallback for JSON consumers: this
                     # variant never entered the refined competition
                     # (its layer grid does not tile n).
@@ -202,7 +207,7 @@ class PlanService:
                 }
         lb = lower_bound_time(rq.n, rq.p, rq.alpha, rq.beta_element,
                               rq.gamma, memory_elements=rq.memory_elements)
-        gap = predicted / lb.seconds if lb.seconds > 0 else float("inf")
+        gap = predicted / lb.seconds if lb.seconds > 0 else None
         params = cand.params()
         if rq.faulty:
             params["fault_profile"] = rq.faults
@@ -212,7 +217,7 @@ class PlanService:
             predicted_time=predicted,
             comm_time=comm,
             compute_time=compute,
-            closed_form_time=closed_form_cost(rq, cand),
+            closed_form_time=cost(cand),
             backend=backend,
             lower_bound_time=lb.seconds,
             lower_bound_gap=gap,
@@ -229,37 +234,26 @@ class PlanService:
             total = closed_form_cost(rq, cand)
             return total, total - compute, compute, "closed-form"
         cfg = _build_config(rq, cand)
-        if cand.algorithm == "2.5d":
-            # 2.5D has no step model, so refine="macro" also takes the
+        if self.refine == "predictor" or cand.algorithm == "2.5d":
+            # 2.5D has no step model, so refine="macro" also takes its
             # predictor chain — it replays the macro engine's floats
             # bit-identically, so the label stays honest.
+            from repro.mpi.comm import CollectiveOptions
             from repro.network.homogeneous import HomogeneousNetwork
             from repro.network.model import HockneyParams
-            from repro.simulator.predictor import predict_summa25d
+            from repro.simulator.predictor import (
+                predict_hsumma,
+                predict_summa,
+                predict_summa25d,
+            )
 
+            predict = {"summa": predict_summa, "hsumma": predict_hsumma,
+                       "2.5d": predict_summa25d}[cand.algorithm]
             network = HomogeneousNetwork(rq.p, HockneyParams(rq.alpha, rq.beta))
-            res = predict_summa25d(cfg, network=network, gamma=rq.gamma,
-                                   a_itemsize=rq.itemsize,
-                                   b_itemsize=rq.itemsize)
-            st = res.stats[0]
-            return st.clock, st.comm_time, st.compute_time, "predictor"
-        # The predictor refuses the segmented broadcast family (it has
-        # no stage-overlap model), so pipelined candidates are refined
-        # at macro fidelity regardless of the configured backend.
-        from repro.costs import PIPELINED_BCASTS
-
-        pipelined = (cand.bcast in PIPELINED_BCASTS
-                     or cand.outer_bcast in PIPELINED_BCASTS)
-        if self.refine == "predictor" and not pipelined:
-            from repro.network.homogeneous import HomogeneousNetwork
-            from repro.network.model import HockneyParams
-            from repro.simulator.predictor import predict_hsumma, predict_summa
-
-            network = HomogeneousNetwork(rq.p, HockneyParams(rq.alpha, rq.beta))
-            predict = (predict_summa if cand.algorithm == "summa"
-                       else predict_hsumma)
-            res = predict(cfg, network=network, gamma=rq.gamma,
-                          a_itemsize=rq.itemsize, b_itemsize=rq.itemsize)
+            res = predict(cfg, network=network,
+                          options=CollectiveOptions(bcast_segments=cand.segments),
+                          gamma=rq.gamma, a_itemsize=rq.itemsize,
+                          b_itemsize=rq.itemsize)
             st = res.stats[0]
             return st.clock, st.comm_time, st.compute_time, "predictor"
         from repro.experiments.stepmodel import (

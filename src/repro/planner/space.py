@@ -232,11 +232,13 @@ def candidate_memory_elements(rq: ResolvedQuery, cand: Candidate) -> float:
     return total
 
 
-def closed_form_cost(rq: ResolvedQuery, cand: Candidate) -> float:
+def closed_form_cost(rq: ResolvedQuery, cand: Candidate,
+                     memo: dict | None = None) -> float:
     """Ranking-stage estimate in seconds (communication + computation),
-    assembled from the registry's broadcast factors."""
+    assembled from the registry's broadcast factors.  ``memo`` (one per
+    query) shares broadcast terms between the candidates of a ranking."""
     compute = summa_computation_cost(rq.n, rq.p, rq.gamma)
-    return _comm_cost(rq, cand) + compute
+    return _comm_cost(rq, cand, {} if memo is None else memo) + compute
 
 
 def _bcast_term(alg: str, p: int, elements: float,
@@ -256,33 +258,32 @@ def _bcast_term(alg: str, p: int, elements: float,
             + elements * bcast_bandwidth_factor(alg, p) * beta_el)
 
 
-def _comm_cost(rq: ResolvedQuery, cand: Candidate) -> float:
+def _comm_cost(rq: ResolvedQuery, cand: Candidate, memo: dict) -> float:
     n, alpha, beta_el = rq.n, rq.alpha, rq.beta_element
     if cand.algorithm == "2.5d":
         return algo25d_communication_cost(n, rq.p, cand.replication,
                                           alpha, beta_el)
     rows, cols = n / cand.s, n / cand.t
     seg = cand.segments
+
+    def term(alg: str, p: int, elements: float) -> float:
+        key = (alg, p, elements, seg)
+        if key not in memo:
+            memo[key] = _bcast_term(alg, p, elements, alpha, beta_el, seg)
+        return memo[key]
+
     if cand.algorithm == "summa":
         steps = n / cand.block
-        return steps * (
-            _bcast_term(cand.bcast, cand.t, rows * cand.block, alpha,
-                        beta_el, seg)
-            + _bcast_term(cand.bcast, cand.s, cand.block * cols, alpha,
-                          beta_el, seg)
-        )
+        return steps * (term(cand.bcast, cand.t, rows * cand.block)
+                        + term(cand.bcast, cand.s, cand.block * cols))
     # HSUMMA: outer broadcasts across the I x J group grid, inner
     # broadcasts within each (s/I) x (t/J) group (paper eqs. 3-5,
     # rectangular generalisation).
     I, J = cand.group_grid
     inner_s, inner_t = cand.s // I, cand.t // J
     B, b = cand.block, cand.inner_block
-    outer = (n / B) * (
-        _bcast_term(cand.outer_bcast, J, rows * B, alpha, beta_el, seg)
-        + _bcast_term(cand.outer_bcast, I, B * cols, alpha, beta_el, seg)
-    )
-    inner = (n / b) * (
-        _bcast_term(cand.bcast, inner_t, rows * b, alpha, beta_el, seg)
-        + _bcast_term(cand.bcast, inner_s, b * cols, alpha, beta_el, seg)
-    )
+    outer = (n / B) * (term(cand.outer_bcast, J, rows * B)
+                       + term(cand.outer_bcast, I, B * cols))
+    inner = (n / b) * (term(cand.bcast, inner_t, rows * b)
+                       + term(cand.bcast, inner_s, b * cols))
     return outer + inner

@@ -2,11 +2,9 @@
 simulator backends' own numbers, not a reimplementation.
 
 * ``refine="predictor"`` plans carry the predictor's prediction
-  *bit-identically* (rebuilding the config from the plan's params and
-  calling the predictor reproduces predicted/comm/compute exactly) —
-  except for segmented-family winners, which the predictor refuses by
-  design and the service prices at macro fidelity instead; those must
-  replay bit-identically through the macro step model.
+  *bit-identically* (rebuilding the config from the plan's params,
+  pipeline depth included, and calling the predictor reproduces
+  predicted/comm/compute exactly) — segmented-family winners too.
 * ``refine="macro"`` plans match the predictor's totals within the
   documented fidelity contract (totals bit-identical, communication
   within 1e-9 relative; see ``repro.simulator.predictor``).
@@ -20,6 +18,7 @@ import pytest
 from repro.core.hsumma import HSummaConfig
 from repro.core.summa import SummaConfig
 from repro.costs import PIPELINED_BCASTS
+from repro.mpi.comm import CollectiveOptions
 from repro.network.homogeneous import HomogeneousNetwork
 from repro.network.model import HockneyParams
 from repro.planner import PlanQuery, PlanService
@@ -60,14 +59,14 @@ def _replay_with_predictor(result, rq):
     cfg = _rebuild_config(result, rq)
     predict = _PREDICTORS[result.algorithm]
     network = HomogeneousNetwork(rq.p, HockneyParams(rq.alpha, rq.beta))
-    res = predict(cfg, network=network, gamma=rq.gamma,
+    options = CollectiveOptions(bcast_segments=result.params.get("segments"))
+    res = predict(cfg, network=network, options=options, gamma=rq.gamma,
                   a_itemsize=rq.itemsize, b_itemsize=rq.itemsize)
     return res.stats[0]
 
 
 def _replay_with_macro(result, rq):
-    """Rebuild the chosen config and step the macro engine (the only
-    backend that prices segmented-family plans)."""
+    """Rebuild the chosen config and step the macro engine."""
     from repro.experiments.stepmodel import (
         AnalyticCoster,
         hsumma_step_model,
@@ -89,12 +88,20 @@ def _replay_with_macro(result, rq):
     )
 
 
+#: Queries won by the segmented family: summa/fourcolor at depth 8,
+#: hsumma/hypersystolic at depth 1, and hsumma/hypersystolic at depth 2,
+#: where the predictor's default depth would price a different time.
+PIPELINED_QUERIES = [
+    PlanQuery(n=2048, p=64, platform="bluegene-p"),
+    PlanQuery(n=768, p=96, platform="grid5000-graphene"),
+    PlanQuery(n=1536, p=192, platform="bluegene-p"),
+]
 QUERIES = [
     PlanQuery(n=2048, p=64),
     PlanQuery(n=2048, p=64, platform="grid5000-graphene"),
     PlanQuery(n=4096, p=256, platform="bluegene-p"),
     PlanQuery(n=4096, p=1024),
-]
+] + PIPELINED_QUERIES
 
 
 class TestPredictorFidelity:
@@ -102,20 +109,13 @@ class TestPredictorFidelity:
     def test_plan_times_are_the_backends_bit_for_bit(self, query):
         rq = query.resolve()
         result = PlanService().plan(rq)
-        if result.backend == "macro":
-            # A segmented-family winner: the predictor refuses these,
-            # so the reported numbers must be the macro engine's own.
+        if query in PIPELINED_QUERIES:
             assert result.params["bcast"] in PIPELINED_BCASTS
-            rep = _replay_with_macro(result, rq)
-            assert result.predicted_time == rep.total_time
-            assert result.comm_time == rep.comm_time
-            assert result.compute_time == rep.compute_time
-        else:
-            assert result.backend == "predictor"
-            st = _replay_with_predictor(result, rq)
-            assert result.predicted_time == st.clock
-            assert result.comm_time == st.comm_time
-            assert result.compute_time == st.compute_time
+        assert result.backend == "predictor"
+        st = _replay_with_predictor(result, rq)
+        assert result.predicted_time == st.clock
+        assert result.comm_time == st.comm_time
+        assert result.compute_time == st.compute_time
 
     def test_25d_eligible_query_reports_predictor_fidelity(self):
         """A 2.5D-eligible query prices the replication family at
@@ -187,7 +187,7 @@ class TestMacroFidelity:
     def test_macro_and_predictor_choose_comparable_plans(self):
         """Backends of identical fidelity must produce plans with
         identical predicted times (they price the same candidates, and
-        segmented-family candidates route to macro under both)."""
+        their totals are bit-identical)."""
         q = PlanQuery(n=2048, p=64)
         a = PlanService(refine="predictor").plan(q)
         b = PlanService(refine="macro").plan(q)

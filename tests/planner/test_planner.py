@@ -1,5 +1,6 @@
 """Tests for the plan service: queries, candidate space, plan shape."""
 
+import json
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.planner import (
     candidate_grids,
     candidate_memory_elements,
     candidate_replications,
+    closed_form_cost,
     enumerate_candidates,
     plan,
 )
@@ -94,6 +96,13 @@ class TestCandidateSpace:
         assert all(c.algorithm != "2.5d" for c in cands)
         assert all(c.bcast == "binomial" for c in cands)
 
+    def test_shared_memo_prices_like_fresh_calls(self):
+        rq = PlanQuery(n=2048, p=64, platform="bluegene-p").resolve()
+        memo: dict = {}
+        for cand in enumerate_candidates(rq):
+            assert (closed_form_cost(rq, cand, memo)
+                    == closed_form_cost(rq, cand))
+
     def test_memory_footprint_counts_tiles_and_buffers(self):
         rq = PlanQuery(n=2048, p=64).resolve()
         cand = next(c for c in enumerate_candidates(rq)
@@ -111,12 +120,7 @@ class TestPlanning:
         assert result.predicted_time == pytest.approx(
             result.comm_time + result.compute_time
         )
-        # Segmented-family winners are priced at macro fidelity (the
-        # predictor refuses them); everything else by the predictor.
-        if "segments" in result.params:
-            assert result.backend == "macro"
-        else:
-            assert result.backend == "predictor"
+        assert result.backend == "predictor"
         assert result.lower_bound_time > 0
         assert result.lower_bound_gap == pytest.approx(
             result.predicted_time / result.lower_bound_time
@@ -125,12 +129,12 @@ class TestPlanning:
         assert not result.from_cache
 
     def test_hsumma_plan_names_all_parameters(self):
-        svc = PlanService()
-        result = svc.plan(PlanQuery(n=16384, p=16384))
-        if result.algorithm == "hsumma":
-            for key in ("grid", "groups", "group_grid", "block",
-                        "inner_block", "bcast", "outer_bcast"):
-                assert key in result.params, key
+        # Won by hsumma with hypersystolic broadcasts at both levels.
+        result = plan(PlanQuery(n=1536, p=384, platform="bluegene-p"))
+        assert result.algorithm == "hsumma"
+        for key in ("grid", "groups", "group_grid", "block",
+                    "inner_block", "bcast", "outer_bcast", "segments"):
+            assert key in result.params, key
 
     def test_memory_budget_excludes_fat_candidates(self):
         n, p = 4096, 256
@@ -156,6 +160,16 @@ class TestPlanning:
     def test_serial_plan(self):
         result = plan(PlanQuery(n=64, p=1))
         assert result.predicted_time == 0.0  # gamma defaults to 0
+
+    def test_serial_plan_is_strict_json(self):
+        """One rank at gamma=0 has a zero lower bound: the gap is None
+        (JSON null), not an infinite ratio."""
+        result = plan(PlanQuery(n=4096, p=1))
+        assert result.lower_bound_time == 0.0
+        assert result.lower_bound_gap is None
+        json.dumps(result.to_dict(), allow_nan=False)
+        assert Plan.from_dict(result.to_dict()).lower_bound_gap is None
+        assert "gap n/a" in result.summary()
 
     def test_refine_none_uses_closed_forms(self):
         result = PlanService(refine="none").plan(PlanQuery(n=2048, p=64))

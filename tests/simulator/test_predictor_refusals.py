@@ -78,32 +78,9 @@ class TestRunnerRefusals:
 
 
 class TestPipelinedBcastRefusals:
-    """The phase chain prices collectives bulk-synchronously, so every
-    segmented-family algorithm is refused by name — one test per new
-    algorithm — rather than silently mis-priced at its s=1 shape."""
-
-    @pytest.mark.parametrize("algorithm",
-                             ["segmented", "fourcolor", "hypersystolic"])
-    def test_summa_refuses_each_new_algorithm(self, algorithm):
-        A, B = _phantoms()
-        with pytest.raises(ConfigurationError) as exc:
-            run_summa(A, B, grid=(2, 2), block=16, backend="predictor",
-                      bcast=algorithm)
-        msg = _refusal(exc, f"pipelined broadcast {algorithm}",
-                       "backend='macro'")
-        assert "stage overlap" in msg
-
-    @pytest.mark.parametrize("algorithm",
-                             ["segmented", "fourcolor", "hypersystolic"])
-    def test_hsumma_refuses_each_new_algorithm(self, algorithm):
-        from repro.core.hsumma import run_hsumma
-
-        A, B = _phantoms()
-        with pytest.raises(ConfigurationError) as exc:
-            run_hsumma(A, B, grid=(4, 4), groups=4, outer_block=16,
-                       backend="predictor", inner_bcast=algorithm)
-        _refusal(exc, f"pipelined broadcast {algorithm}",
-                 "backend='macro'")
+    """Chains never checked against the macro engine for the segmented
+    family refuse it by name; SUMMA and HSUMMA price it (pinned by
+    ``tests/property/test_pipelined_predictor.py``)."""
 
     def test_cyclic_refuses_pipelined_family(self):
         from repro.mpi.comm import CollectiveOptions
